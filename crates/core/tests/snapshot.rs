@@ -264,7 +264,10 @@ fn file_round_trip_via_checkpoint_and_restore() {
     let at = fraction_of(uninterrupted.time, 1, 2);
     let mut m = Machine::new(cfg.clone(), compile(&src));
     assert!(m.run_until(at).is_none());
-    let path = std::env::temp_dir().join(format!("ccsvm-snap-test-{}.ccsnap", std::process::id()));
+    let path = std::env::temp_dir().join(format!(
+        "ccsvm-snap-test-{}.ccsnap",
+        ccsvm_snap::unique_suffix()
+    ));
     m.checkpoint(&path).expect("checkpoint to file");
     let mut restored = Machine::restore(cfg, compile(&src), &path).expect("restore from file");
     let _ = std::fs::remove_file(&path);

@@ -134,6 +134,18 @@ pub(crate) struct BankOut {
     pub arm: Vec<(u64, u64)>,
 }
 
+impl BankOut {
+    /// Whether the step left nothing to apply.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.sends.is_empty()
+            && self.dram_read.is_none()
+            && self.dram_writes.is_empty()
+            && self.finished.is_empty()
+            && self.retry.is_none()
+            && self.arm.is_empty()
+    }
+}
+
 /// What a fired directory timeout did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TimeoutAction {

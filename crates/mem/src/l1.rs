@@ -140,10 +140,9 @@ pub(crate) struct L1Out {
 }
 
 impl L1Out {
-    pub(crate) fn clear(&mut self) {
-        self.requests.clear();
-        self.responses.clear();
-        self.completions.clear();
+    /// Whether every buffer has been drained.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.requests.is_empty() && self.responses.is_empty() && self.completions.is_empty()
     }
 }
 

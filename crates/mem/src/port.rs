@@ -179,7 +179,7 @@ impl<'a> CorePort<'a> {
         // Borrow the log's scratch buffer for the duration of the L1 step;
         // `flush` drains it, so it goes back empty.
         let mut out = std::mem::take(&mut self.log.scratch);
-        out.clear();
+        debug_assert!(out.is_empty(), "reused L1 output not drained");
         let result = self.l1.access(access, token, &mut out);
         debug_assert!(out.completions.is_empty(), "access cannot complete others");
         // The miss leaves the L1 after the tag lookup (one hit time).

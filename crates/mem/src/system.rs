@@ -163,6 +163,10 @@ pub struct MemorySystem {
     /// Reusable L1 output buffer for directory-message delivery, so the hot
     /// `DirArrive` path allocates nothing.
     scratch_out: L1Out,
+    /// Reusable bank output buffer for every bank step, so a snoop
+    /// broadcast's sends reuse one allocation. Empty between steps:
+    /// [`MemorySystem::apply_bank_out`] drains every field.
+    scratch_bank: BankOut,
 }
 
 impl MemorySystem {
@@ -211,6 +215,7 @@ impl MemorySystem {
             corrupt_next_resend: false,
             scratch: PortLog::new(),
             scratch_out: L1Out::default(),
+            scratch_bank: BankOut::default(),
         }
     }
 
@@ -391,26 +396,29 @@ impl MemorySystem {
                 }
             }
             MemEventKind::BankReady { bank, block } => {
-                let mut out = BankOut::default();
+                let mut out = self.take_bank_out();
                 self.banks[bank.0].ready(block, &mut out);
-                self.apply_bank_out(now, bank.0, out, net, sched);
+                self.apply_bank_out(now, bank.0, &mut out, net, sched);
+                self.scratch_bank = out;
             }
             MemEventKind::DramReadDone { bank, block } => {
                 let mut data = [0u8; crate::BLOCK_BYTES as usize];
                 self.dram
                     .read_bytes(crate::addr::base_of_block(block), &mut data);
-                let mut out = BankOut::default();
+                let mut out = self.take_bank_out();
                 self.banks[bank.0].dram_done(block, data, &mut out);
-                self.apply_bank_out(now, bank.0, out, net, sched);
+                self.apply_bank_out(now, bank.0, &mut out, net, sched);
+                self.scratch_bank = out;
             }
             MemEventKind::RespArrive(bank, resp) => {
-                let mut out = BankOut::default();
+                let mut out = self.take_bank_out();
                 self.banks[bank.0].resp_arrive(resp, &mut out);
-                self.apply_bank_out(now, bank.0, out, net, sched);
+                self.apply_bank_out(now, bank.0, &mut out, net, sched);
+                self.scratch_bank = out;
             }
             MemEventKind::DirArrive(port, msg) => {
                 let mut out = std::mem::take(&mut self.scratch_out);
-                out.clear();
+                debug_assert!(out.is_empty(), "reused L1 output not drained");
                 self.l1s[port.0].on_dir_msg(msg, &mut out);
                 self.flush_l1_out(now, port, &mut out, net, sched, completions);
                 self.scratch_out = out;
@@ -418,15 +426,24 @@ impl MemorySystem {
             MemEventKind::DirTimeout { bank, block, epoch } => {
                 let budget = self.dir_budget;
                 let corrupt = std::mem::take(&mut self.corrupt_next_resend);
-                let mut out = BankOut::default();
+                let mut out = self.take_bank_out();
                 if let TimeoutAction::Exhausted =
                     self.banks[bank.0].timeout_fired(block, epoch, budget, corrupt, &mut out)
                 {
                     self.retry_exhausted = Some((bank, block));
                 }
-                self.apply_bank_out(now, bank.0, out, net, sched);
+                self.apply_bank_out(now, bank.0, &mut out, net, sched);
+                self.scratch_bank = out;
             }
         }
+    }
+
+    /// Borrows the reusable bank output buffer; the caller returns it after
+    /// [`MemorySystem::apply_bank_out`] has drained it.
+    fn take_bank_out(&mut self) -> BankOut {
+        let out = std::mem::take(&mut self.scratch_bank);
+        debug_assert!(out.is_empty(), "reused bank output not drained");
+        out
     }
 
     fn flush_l1_out(
@@ -444,21 +461,24 @@ impl MemorySystem {
         self.scratch = log;
     }
 
+    /// Applies one bank step's side effects, draining every field of `out`
+    /// (timeout arms are dropped when directory timeouts are off) so the
+    /// buffer can be reused for the next step.
     fn apply_bank_out(
         &mut self,
         now: Time,
         bank: usize,
-        out: BankOut,
+        out: &mut BankOut,
         net: &mut Network,
         sched: &mut dyn FnMut(Time, MemEvent),
     ) {
         let bank_node = self.bank_cfg[bank].node;
-        for (port, msg) in out.sends {
+        for (port, msg) in out.sends.drain(..) {
             let bytes = self.dir_msg_bytes(&msg);
             let t = net.send(now, bank_node, self.l1s[port.0].config.node, bytes);
             sched(t, MemEvent(MemEventKind::DirArrive(port, msg)));
         }
-        if let Some(block) = out.dram_read {
+        if let Some(block) = out.dram_read.take() {
             let (done, _, poisoned) = self.dram.timed_read_block(now, bank, block);
             if poisoned {
                 self.poisoned.insert(block);
@@ -471,11 +491,11 @@ impl MemorySystem {
                 }),
             );
         }
-        for (block, data) in out.dram_writes {
+        for (block, data) in out.dram_writes.drain(..) {
             // Posted writeback: nothing waits on it.
             self.dram.timed_write_block(now, bank, block, &data);
         }
-        for block in out.finished {
+        for block in out.finished.drain(..) {
             if let Some(req) = self.banks[bank].pop_waiting(block) {
                 let accepted = self.banks[bank].req_arrive(req);
                 debug_assert!(accepted, "drained request immediately re-queued");
@@ -489,7 +509,7 @@ impl MemorySystem {
                 );
             }
         }
-        if let Some(block) = out.retry {
+        if let Some(block) = out.retry.take() {
             let ready = now + self.bank_cfg[bank].latency;
             sched(
                 ready,
@@ -499,17 +519,20 @@ impl MemorySystem {
                 }),
             );
         }
-        if let Some(timeout) = self.dir_timeout {
-            for (block, epoch) in out.arm {
-                sched(
-                    now + timeout,
-                    MemEvent(MemEventKind::DirTimeout {
-                        bank: BankId(bank),
-                        block,
-                        epoch,
-                    }),
-                );
+        match self.dir_timeout {
+            Some(timeout) => {
+                for (block, epoch) in out.arm.drain(..) {
+                    sched(
+                        now + timeout,
+                        MemEvent(MemEventKind::DirTimeout {
+                            bank: BankId(bank),
+                            block,
+                            epoch,
+                        }),
+                    );
+                }
             }
+            None => out.arm.clear(),
         }
     }
 
@@ -836,5 +859,98 @@ impl Snapshot for MemorySystem {
             None
         };
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::l1::WritePolicy;
+    use ccsvm_engine::EventQueue;
+    use ccsvm_noc::{NocConfig, NodeId, Topology};
+
+    /// With directory timeouts off, the snoop rounds' timeout arms are
+    /// dropped, not carried through the reused bank buffer into the next
+    /// bank step (where the `take_bank_out` guard would trip, and with
+    /// timeouts later enabled a stale arm would schedule a `DirTimeout`).
+    #[test]
+    fn bank_output_is_drained_without_timeouts() {
+        let geometry = CacheConfig { sets: 4, ways: 2 };
+        let l1 = |i| L1Config {
+            node: NodeId(i),
+            cache: geometry,
+            hit_time: Time::from_ps(690),
+            max_mshrs: 4,
+            write_policy: WritePolicy::WriteBack,
+        };
+        let mut mem = MemorySystem::new(MemConfig {
+            l1s: vec![l1(0), l1(1)],
+            banks: vec![BankConfig {
+                node: NodeId(2),
+                cache: geometry,
+                latency: Time::from_ps(3450),
+            }],
+            dram: DramConfig::paper_default(),
+            ctrl_bytes: 8,
+            data_bytes: 72,
+            protocol: ProtocolKind::MesiSnoop,
+        });
+        assert_eq!(mem.dir_timeout, None);
+        let mut net = Network::new(Topology::torus(2, 2), NocConfig::paper_default());
+        let mut queue = EventQueue::new();
+        let mut completions = Vec::new();
+        let paddr = PhysAddr(0x40);
+        let mut arms = 0;
+        let mut now = Time::ZERO;
+        // Read, remote write, read back: three snoop rounds on one block.
+        let steps = [
+            (0, Access::Read { paddr, size: 8 }),
+            (
+                1,
+                Access::Write {
+                    paddr,
+                    size: 8,
+                    value: 7,
+                },
+            ),
+            (0, Access::Read { paddr, size: 8 }),
+        ];
+        for (token, (port, access)) in steps.into_iter().enumerate() {
+            let mut sched = |t: Time, e: MemEvent| queue.push(t, e);
+            let issued = mem.access(
+                now,
+                &mut net,
+                &mut sched,
+                PortId(port),
+                token as u64,
+                access,
+            );
+            assert_eq!(issued, AccessResult::Pending);
+            while let Some((t, ev)) = queue.pop() {
+                now = t;
+                let mut sched = |at: Time, e: MemEvent| queue.push(at, e);
+                match ev.0 {
+                    MemEventKind::BankReady { bank, block } => {
+                        let mut out = mem.take_bank_out();
+                        mem.banks[bank.0].ready(block, &mut out);
+                        arms += out.arm.len();
+                        mem.apply_bank_out(t, bank.0, &mut out, &mut net, &mut sched);
+                        assert!(out.is_empty(), "bank output left undrained");
+                        mem.scratch_bank = out;
+                    }
+                    MemEventKind::DirTimeout { .. } => panic!("timeout armed with timeouts off"),
+                    kind => mem.handle(t, &mut net, &mut sched, MemEvent(kind), &mut completions),
+                }
+                assert!(mem.scratch_bank.is_empty(), "bank output carried over");
+                assert!(mem.scratch_out.is_empty(), "L1 output carried over");
+            }
+        }
+        assert!(arms >= 3, "each snoop round arms a timeout, got {arms}");
+        assert!(mem.quiescent());
+        let last = completions
+            .iter()
+            .find(|c| c.token == 2)
+            .expect("read back");
+        assert_eq!(last.value, 7);
     }
 }

@@ -255,9 +255,10 @@ mod tests {
     use super::*;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ccsvm-journal-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_file(&dir);
-        dir
+        let path =
+            std::env::temp_dir().join(format!("ccsvm-journal-{name}-{}", crate::unique_suffix()));
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     fn sample() -> Vec<u8> {

@@ -461,7 +461,7 @@ pub fn write_file(path: &std::path::Path, bytes: &[u8]) -> Result<(), SnapError>
     use std::io::Write;
     let io = |e: &std::io::Error| SnapError::Io(format!("{}: {e}", path.display()));
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
+    tmp.push(format!(".tmp.{}", unique_suffix()));
     let tmp = std::path::PathBuf::from(tmp);
     let result = (|| {
         let mut f = std::fs::File::create(&tmp).map_err(|e| io(&e))?;
@@ -473,6 +473,20 @@ pub fn write_file(path: &std::path::Path, bytes: &[u8]) -> Result<(), SnapError>
         let _ = std::fs::remove_file(&tmp);
     }
     result
+}
+
+/// `<pid>-<n>`, with `n` from a process-wide counter: distinct on every
+/// call in this process, and from every other live process. Keys temp files
+/// that concurrent threads (parallel tests, pool workers) create, so no two
+/// ever share a name.
+pub fn unique_suffix() -> String {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    format!(
+        "{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    )
 }
 
 /// Reads snapshot bytes from `path`.

@@ -139,7 +139,8 @@ mod tests {
 
     #[test]
     fn store_then_lookup_round_trips() {
-        let dir = std::env::temp_dir().join(format!("sweepd-cache-rt-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("sweepd-cache-rt-{}", ccsvm_snap::unique_suffix()));
         let cache = ReportCache::new(&dir).unwrap();
         let (report, h) = report_and_hash();
         assert!(cache.lookup(42, h).unwrap().is_none());
@@ -157,7 +158,8 @@ mod tests {
 
     #[test]
     fn bad_entries_are_typed_misses_never_panics() {
-        let dir = std::env::temp_dir().join(format!("sweepd-cache-bad-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("sweepd-cache-bad-{}", ccsvm_snap::unique_suffix()));
         let cache = ReportCache::new(&dir).unwrap();
         let (report, h) = report_and_hash();
         cache.store(1, h, &report).unwrap();

@@ -611,7 +611,10 @@ mod tests {
     use super::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("ccsvm-campaign-{tag}-{}", std::process::id()));
+        let d = std::env::temp_dir().join(format!(
+            "ccsvm-campaign-{tag}-{}",
+            ccsvm_snap::unique_suffix()
+        ));
         let _ = std::fs::remove_dir_all(&d);
         d
     }
